@@ -59,7 +59,7 @@ def test_disabled_telemetry_overhead():
 
     netlist = elaborate(AesAcceleratorProtected())
     sim = _make_sim(netlist)
-    inner = sim.lanes_sim
+    inner = sim._be
 
     # per-cycle calls, the SoC harness's access pattern (tick -> step(1))
     def wrapped():
@@ -68,7 +68,7 @@ def test_disabled_telemetry_overhead():
 
     def raw():
         for _ in range(CYCLES):
-            inner.step(1)
+            inner.step(*sim._args)
 
     wrapped()  # warm both paths once
     raw()

@@ -30,10 +30,9 @@ memory faults are re-asserted at the start of every cycle in the window.
 With all masks at zero the instrumented design is cycle-for-cycle
 equivalent to the original — the identity is ``((s ^ 0) | 0) & ~0``.
 
-The per-cycle drive logic lives in :class:`FaultApplier`, which both
-:class:`~repro.hdl.sim.engine.Simulator` and
-:class:`~repro.hdl.sim.batched.BatchSimulator` call at the top of every
-``step`` iteration.
+The per-cycle drive logic lives in :class:`FaultApplier`, which
+:class:`~repro.hdl.sim.engine.Simulator` calls at the top of every
+``step`` iteration on every backend.
 """
 
 from __future__ import annotations

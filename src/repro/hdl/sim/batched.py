@@ -25,16 +25,17 @@ hardware netlists.
 Like the scalar compiled backend, generated programs are cached at
 module level keyed by ``Netlist.fingerprint()``.
 
-The testbench entry point is :class:`BatchSimulator`::
+The testbench entry point is the one
+:class:`~repro.hdl.sim.engine.Simulator` front-end::
 
-    bs = BatchSimulator(MyAccel(), lanes=64)
-    bs.poke_all("top.in_valid", 1)       # every lane
-    bs.poke("top.in_data", lane=3, value=0xDEAD)  # one lane
-    bs.step(100)
-    bs.peek("top.out_data", lane=3)
+    sim = Simulator(MyAccel(), backend="batched", lanes=64)
+    sim.poke("top.in_valid", 1)                # every lane
+    sim.poke("top.in_data", 0xDEAD, lane=3)    # one lane
+    sim.step(100)
+    sim.peek("top.out_data", lane=3)
 
-or, for drop-in use of the existing single-instance API,
-``Simulator(design, backend="batched", lanes=N)``.
+:class:`BatchSimulator` is that front-end with the batched backend preset
+and a lane-first ``poke(sig, lane, value)``.
 """
 
 from __future__ import annotations
@@ -42,15 +43,15 @@ from __future__ import annotations
 import re
 import sys
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..elaborate import elaborate
 from ..memory import Mem
 from ..module import Module
 from ..netlist import Netlist
 from ..nodes import HdlError, Node, walk
 from ..signal import Signal
 from ..types import mask_for
+from .engine import SignalLike, Simulator
 
 try:
     import numpy as np
@@ -1409,33 +1410,27 @@ class BatchedBackend:
         while len(_BATCH_CACHE) > _CACHE_CAPACITY:
             _BATCH_CACHE.popitem(last=False)
 
-    # -- storage ----------------------------------------------------------------
-    def new_state(self, lanes: int):
+    # -- backend protocol (see repro.hdl.sim.engine) -------------------------
+    def new_state(self, lanes: int) -> tuple:
         st = np.zeros((self.n_state_rows, lanes), dtype=np.uint64)
         for reg in self.netlist.regs:
             if reg.init:
                 row0, L = self.state_slot[reg]
                 for j in range(L):
                     st[row0 + j] = (reg.init >> (64 * j)) & _M64
-        return st
-
-    def new_env(self, lanes: int):
-        return np.zeros((self.n_env_rows, lanes), dtype=np.uint64)
-
-    def new_mems(self, lanes: int):
-        out = []
+        mems = []
         for mem in self.netlist.mems:
             for j in range(_nlimbs(mem.width)):
                 col = np.fromiter(
                     ((v >> (64 * j)) & _M64 for v in mem.init),
                     dtype=np.uint64, count=mem.depth,
                 )
-                out.append(np.repeat(col[:, None], lanes, axis=1))
-        return out
-
-    def new_consts(self, lanes: int):
-        """Pre-broadcast constant arrays referenced by the generated code."""
-        return [np.full(lanes, v, dtype=np.uint64) for v in self.kvalues]
+                mems.append(np.repeat(col[:, None], lanes, axis=1))
+        env = np.zeros((self.n_env_rows, lanes), dtype=np.uint64)
+        # the generated code also takes the lane index vector and the
+        # constants it references, pre-broadcast to the lane count
+        consts = [np.full(lanes, v, dtype=np.uint64) for v in self.kvalues]
+        return (st, mems, env, np.arange(lanes, dtype=np.intp), consts)
 
     def eval_comb(self, state, mems, env, ln, consts) -> None:
         self._eval_comb(state, mems, env, ln, consts)
@@ -1443,313 +1438,82 @@ class BatchedBackend:
     def step(self, state, mems, env, ln, consts) -> None:
         self._step(state, mems, env, ln, consts)
 
+    def row_span(self, sig: Signal) -> Tuple[int, int]:
+        """``(first row, limb count)`` of a signal in :meth:`rows`."""
+        slot = self.state_slot.get(sig)
+        if slot is not None:
+            return slot
+        row0, L = self.comb_slot[sig]
+        return self.n_state_rows + row0, L
 
-SignalLike = Union[Signal, str]
+    def rows(self, args):
+        """State rows stacked over env rows: one ``(rows, lanes)`` copy."""
+        return np.concatenate([args[0], args[2]], axis=0)
 
-
-class BatchSimulator:
-    """Testbench driver over N lanes of one design.
-
-    Mirrors the :class:`~repro.hdl.sim.engine.Simulator` API with an
-    explicit ``lane`` coordinate; ``poke_all``/``peek_all`` address every
-    lane at once.  All lanes share one clock: ``step`` advances each lane
-    one cycle.
-    """
-
-    def __init__(self, design: Union[Module, Netlist], lanes: int = 1,
-                 fault_targets=None, fault_plan=None,
-                 tag_tracking: bool = False, lattice=None,
-                 tag_precise: bool = True, tag_check_downgrades: bool = True,
-                 tag_audit: str = "full"):
-        _require_numpy()
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        if isinstance(design, Module):
-            self.netlist = elaborate(design)
+    def read(self, args, sig: Signal, lane: Optional[int]):
+        slot = self.state_slot.get(sig)
+        if slot is None:
+            arr, (row0, L) = args[2], self.comb_slot[sig]
         else:
-            self.netlist = design
-        self.lanes = lanes
-        self.cycle = 0
-        # Tag synthesis first (the shadow nets become part of the compiled
-        # program and fault-targetable), then fault instrumentation —
-        # mirroring the engine Simulator's ordering.
-        self.tag_plan = None
-        self.tags = None
-        if tag_tracking:
-            from ...ifc.synth import synthesize_tags
-
-            if lattice is None:
-                raise ValueError(
-                    "tag_tracking=True needs the security lattice the "
-                    "design's labels live in (pass lattice=...)")
-            self.netlist, self.tag_plan = synthesize_tags(
-                self.netlist, lattice, check_downgrades=tag_check_downgrades,
-                precise=tag_precise, audit=tag_audit)
-        # Instrument before backend construction so the compiled program
-        # includes the fault-control inputs (see repro.faults.plan).  The
-        # engine's batched path pre-instruments and hands controls over by
-        # assigning ``fault_controls`` after construction instead.
-        self.fault_controls = {}
-        self._fault_applier = None
-        if fault_plan is not None and fault_targets is None:
-            fault_targets = fault_plan.signal_targets()
-        if fault_targets:
-            from ...faults.plan import instrument
-
-            self.netlist, self.fault_controls = instrument(
-                self.netlist, fault_targets)
-        self._be = BatchedBackend(self.netlist)
-        self._input_set = frozenset(self.netlist.inputs)
-        self._ln = np.arange(lanes, dtype=np.intp)
-        self._state = self._be.new_state(lanes)
-        self._env = self._be.new_env(lanes)
-        self._mems = self._be.new_mems(lanes)
-        self._consts = self._be.new_consts(lanes)
-        self._dirty = True
-        self._watchers = []
-        if self.tag_plan is not None:
-            from ...ifc.synth import TagView
-
-            self.tags = TagView(self, self.tag_plan)
-        if fault_plan is not None:
-            self.load_fault_plan(fault_plan)
-
-    # -- resolution -------------------------------------------------------------
-    def _resolve(self, sig: SignalLike) -> Signal:
-        if isinstance(sig, Signal):
-            return sig
-        return self.netlist.signal_by_path(sig)
-
-    def _resolve_mem(self, mem: Union[Mem, str]) -> Mem:
-        if isinstance(mem, Mem):
-            return mem
-        return self.netlist.mem_by_path(mem)
-
-    # -- fault injection ---------------------------------------------------------
-    def load_fault_plan(self, plan) -> None:
-        """Arm a fault plan; lane-targeted faults hit only their lane."""
-        from ...faults.plan import FaultApplier
-
-        self._fault_applier = FaultApplier(
-            plan, self.fault_controls, self.netlist, lanes=self.lanes)
-
-    def clear_fault_plan(self) -> None:
-        self._fault_applier = None
-        for ctrl in self.fault_controls.values():
-            for sig in (ctrl.flip, ctrl.stuck1, ctrl.stuck0):
-                self.poke_all(sig, 0)
-
-    @property
-    def fault_events(self) -> int:
-        ap = self._fault_applier
-        return ap.events if ap is not None else 0
-
-    def _apply_faults(self, ap) -> None:
-        from ...faults.plan import faulted_value
-
-        updates, mem_ops = ap.at(self.cycle)
-        for sig, value in updates.items():
-            self.poke_all(sig, value)
-        for mem, addr, kind, mask, lane in mem_ops:
-            lanes = range(self.lanes) if lane is None else (lane,)
-            for ln in lanes:
-                cur = self.peek_mem(mem, addr, ln)
-                self.poke_mem(mem, addr,
-                              faulted_value(cur, kind, mask, mem.width),
-                              lane=ln)
-
-    def _check_lane(self, lane: int) -> None:
-        if not 0 <= lane < self.lanes:
-            raise IndexError(f"lane {lane} out of range (lanes={self.lanes})")
-
-    # -- poke/peek --------------------------------------------------------------
-    def _checked_input(self, sig: SignalLike, value: int) -> Signal:
-        sig = self._resolve(sig)
-        if not 0 <= value <= mask_for(sig.width):
-            raise ValueError(
-                f"value {value} does not fit {sig.width}-bit signal {sig.path}"
-            )
-        if sig not in self._input_set:
-            raise HdlError(f"{sig.path} is not a free input of this netlist")
-        return sig
-
-    def poke(self, sig: SignalLike, lane: int, value: int) -> None:
-        """Drive a free input on one lane."""
-        sig = self._checked_input(sig, value)
-        self._check_lane(lane)
-        row0, L = self._be.state_slot[sig]
-        for j in range(L):
-            self._state[row0 + j, lane] = (value >> (64 * j)) & _M64
-        self._dirty = True
-
-    def poke_all(self, sig: SignalLike, value) -> None:
-        """Drive a free input on every lane.
-
-        ``value`` is either one int (broadcast) or a sequence of
-        per-lane ints of length ``lanes``.
-        """
-        if isinstance(value, int):
-            sig = self._checked_input(sig, value)
-            row0, L = self._be.state_slot[sig]
-            for j in range(L):
-                self._state[row0 + j] = (value >> (64 * j)) & _M64
-        else:
-            values = list(value)
-            if len(values) != self.lanes:
-                raise ValueError(
-                    f"expected {self.lanes} per-lane values, got {len(values)}"
-                )
-            sig = self._resolve(sig)
-            for lane, v in enumerate(values):
-                self.poke(sig, lane, v)
-            return
-        self._dirty = True
-
-    def _slot_of(self, sig: Signal) -> Tuple[object, int, int]:
-        if sig in self._be.state_slot:
-            row0, L = self._be.state_slot[sig]
-            return self._state, row0, L
-        row0, L = self._be.comb_slot[sig]
-        return self._env, row0, L
-
-    def peek(self, sig: SignalLike, lane: int = 0) -> int:
-        """Read any signal's settled value on one lane."""
-        sig = self._resolve(sig)
-        self._check_lane(lane)
-        self._settle()
-        arr, row0, L = self._slot_of(sig)
+            arr, (row0, L) = args[0], slot
+        if lane is None:
+            out = arr[row0].tolist()
+            for j in range(1, L):
+                out = [v | (w << (64 * j))
+                       for v, w in zip(out, arr[row0 + j].tolist())]
+            return out
         value = 0
         for j in range(L):
             value |= int(arr[row0 + j, lane]) << (64 * j)
         return value
 
-    def peek_all(self, sig: SignalLike) -> List[int]:
-        """Read a signal on every lane; returns a list of ints."""
-        sig = self._resolve(sig)
-        self._settle()
-        arr, row0, L = self._slot_of(sig)
-        out = [0] * self.lanes
+    def write(self, args, sig: Signal, value: int,
+              lane: Optional[int]) -> None:
+        row0, L = self.state_slot[sig]
+        col = slice(None) if lane is None else lane
         for j in range(L):
-            row = arr[row0 + j]
-            shift = 64 * j
-            for lane in range(self.lanes):
-                out[lane] |= int(row[lane]) << shift
-        return out
+            args[0][row0 + j, col] = (value >> (64 * j)) & _M64
 
-    def values(self, lane: int = 0) -> List[int]:
-        """Settled values of inputs, registers, then comb signals on one
-        lane — the bulk-observation primitive behind
-        :meth:`~repro.hdl.sim.engine.Simulator.values`.
-
-        One column copy per storage array instead of one :meth:`peek`
-        (resolve + settle + per-limb reads) per signal.
-        """
-        self._check_lane(lane)
-        self._settle()
-        state_col = self._state[:, lane].tolist()
-        env_col = self._env[:, lane].tolist()
-        out: List[int] = []
-        nl = self.netlist
-        for sigs, col, slots in (
-                (list(nl.inputs) + list(nl.regs), state_col,
-                 self._be.state_slot),
-                (nl.comb, env_col, self._be.comb_slot)):
-            for sig in sigs:
-                row0, L = slots[sig]
-                if L == 1:
-                    out.append(col[row0])
-                else:
-                    value = 0
-                    for j in range(L):
-                        value |= col[row0 + j] << (64 * j)
-                    out.append(value)
-        return out
-
-    def peek_mem(self, mem: Union[Mem, str], addr: int, lane: int = 0) -> int:
-        mem = self._resolve_mem(mem)
-        self._check_lane(lane)
-        row0, L = self._be.mem_slot[mem]
+    def read_mem(self, args, mem: Mem, addr: int, lane: int) -> int:
+        row0, L = self.mem_slot[mem]
         value = 0
         for j in range(L):
-            value |= int(self._mems[row0 + j][addr, lane]) << (64 * j)
+            value |= int(args[1][row0 + j][addr, lane]) << (64 * j)
         return value
 
-    def poke_mem(self, mem: Union[Mem, str], addr: int, value: int,
-                 lane: Optional[int] = None) -> None:
-        """Backdoor memory write (one lane, or all lanes when ``lane`` is
-        None)."""
-        mem = self._resolve_mem(mem)
-        if not 0 <= value <= mask_for(mem.width):
-            raise ValueError(f"value {value} does not fit memory {mem.path}")
-        row0, L = self._be.mem_slot[mem]
+    def write_mem(self, args, mem: Mem, addr: int, value: int,
+                  lane: Optional[int]) -> None:
+        row0, L = self.mem_slot[mem]
+        col = slice(None) if lane is None else lane
         for j in range(L):
-            limb = (value >> (64 * j)) & _M64
-            if lane is None:
-                self._mems[row0 + j][addr] = limb
-            else:
-                self._check_lane(lane)
-                self._mems[row0 + j][addr, lane] = limb
-        self._dirty = True
+            args[1][row0 + j][addr, col] = (value >> (64 * j)) & _M64
 
-    # -- clocking ---------------------------------------------------------------
-    def _settle(self) -> None:
-        if not self._dirty:
-            return
-        self._be.eval_comb(self._state, self._mems, self._env, self._ln,
-                           self._consts)
-        self._dirty = False
+    def mem_rows(self, args, mem: Mem) -> List[object]:
+        """A copy of each limb array of one memory, ``(depth, lanes)``."""
+        row0, L = self.mem_slot[mem]
+        return [args[1][row0 + j].copy() for j in range(L)]
 
-    def value_signals(self) -> List[Signal]:
-        """Every stateful and combinational signal, in :meth:`values` order
-        (inputs, then registers, then combinational signals)."""
-        return (list(self.netlist.inputs) + list(self.netlist.regs)
-                + list(self.netlist.comb))
+    def values(self, args, lane: int) -> List[int]:
+        col = args[0][:, lane].tolist() + args[2][:, lane].tolist()
+        nl = self.netlist
+        out: List[int] = []
+        for sig in list(nl.inputs) + list(nl.regs) + list(nl.comb):
+            row0, L = self.row_span(sig)
+            value = col[row0]
+            for j in range(1, L):
+                value |= col[row0 + j] << (64 * j)
+            out.append(value)
+        return out
 
-    def add_watcher(self, fn) -> None:
-        """Register a callable invoked (with this simulator, all lanes
-        settled) before each step — mirrors the engine Simulator so traces
-        and trackers work on a standalone batched testbench."""
-        self._watchers.append(fn)
 
-    def remove_watcher(self, fn) -> None:
-        """Detach a watcher previously registered with ``add_watcher``."""
-        if fn in self._watchers:
-            self._watchers.remove(fn)
+class BatchSimulator(Simulator):
+    """:class:`~repro.hdl.sim.engine.Simulator` on the batched backend,
+    whose ``poke`` takes the lane before the value."""
 
-    def step(self, n: int = 1) -> None:
-        """Advance all lanes ``n`` clock cycles."""
-        step = self._be._step
-        ap = self._fault_applier
-        if ap is None and not self._watchers:
-            st, mems, env, ln, K = (self._state, self._mems, self._env,
-                                    self._ln, self._consts)
-            for _ in range(n):
-                step(st, mems, env, ln, K)
-            self.cycle += n
-        else:
-            # Faults poke state/mem arrays in place, so re-read the
-            # references each iteration and track the cycle per step.
-            for _ in range(n):
-                if ap is not None:
-                    self._apply_faults(ap)
-                if self._watchers:
-                    self._settle()
-                    for w in self._watchers:
-                        w(self)
-                step(self._state, self._mems, self._env, self._ln,
-                     self._consts)
-                self.cycle += 1
-                self._dirty = True
-        if n:
-            self._dirty = True
+    def __init__(self, design: Union[Module, Netlist], lanes: int = 1,
+                 **options):
+        super().__init__(design, backend="batched", lanes=lanes, **options)
 
-    def reset(self) -> None:
-        self._state = self._be.new_state(self.lanes)
-        self._env = self._be.new_env(self.lanes)
-        self._mems = self._be.new_mems(self.lanes)
-        self.cycle = 0
-        self._dirty = True
-        if self.tags is not None:
-            self.tags.reseed()
-        if self._fault_applier is not None:
-            self._fault_applier.reset()
+    def poke(self, sig: SignalLike, lane: int, value: int) -> None:
+        """Drive a free input on one lane."""
+        self._poke(sig, value, lane)

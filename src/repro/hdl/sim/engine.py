@@ -1,7 +1,4 @@
-"""Simulator driver: poke/peek/step over an elaborated netlist.
-
-The engine wraps one of three backends (interpreter, compiled, or
-batched) behind a uniform testbench API:
+"""Simulator: the one poke/peek/step front-end over every backend.
 
 >>> sim = Simulator(my_module)          # elaborates + compiles
 >>> sim.poke("top.in_valid", 1)
@@ -12,29 +9,57 @@ Combinational values are (re)computed lazily: any poke invalidates the
 current evaluation, and ``peek`` / ``step`` recompute as needed.
 
 ``backend="batched"`` runs ``lanes`` lockstep instances on numpy vectors
-(see :mod:`repro.hdl.sim.batched`); through this single-instance API all
-lanes receive the same pokes and ``peek`` reads lane 0 — use the
-underlying :class:`~repro.hdl.sim.batched.BatchSimulator` (``sim.lanes_sim``)
-for per-lane control.
+(see :mod:`repro.hdl.sim.batched`).  Every call is lane-aware: ``poke``
+and ``poke_mem`` drive every lane unless given ``lane=``, ``peek``,
+``peek_mem`` and ``values`` read lane 0 unless given ``lane=``, and
+``poke_all`` / ``peek_all`` take or return one value per lane.  The
+interp and compiled backends are the ``lanes=1`` case of the same API.
+
+Backend protocol
+----------------
+The front-end does tag synthesis, fault instrumentation, path
+resolution, input/width/lane/address checks, fault plans, watchers,
+telemetry and lazy settling once for every backend.  A backend only
+holds storage and runs the netlist:
+
+``new_state(lanes)``
+    a fresh argument tuple ``(state, mems, env, ...)``: inputs zero,
+    registers and memories at their initial values.  The single-lane
+    backends reject ``lanes != 1``.
+``eval_comb(*args)`` / ``step(*args)``
+    settle every combinational signal / advance one clock cycle, in place.
+``read`` / ``write`` / ``read_mem`` / ``write_mem``
+    one signal or memory word of a checked lane (``None``: every lane).
+``values(args, lane)`` / ``mem_rows(args, mem)``
+    bulk snapshots for profilers; the batched backend adds
+    ``rows(args)`` and ``row_span(sig)`` over its limb arrays.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ...obs import telemetry as _telemetry
 from ..elaborate import elaborate
 from ..memory import Mem
 from ..module import Module
 from ..netlist import Netlist
-from ..nodes import HdlError
+from ..nodes import HdlError, UnknownSignalError
 from ..signal import Signal
 from ..types import mask_for
 from .compiler import CompiledBackend
 from .interp import InterpBackend
 
 SignalLike = Union[Signal, str]
+
+_SCALAR_BACKENDS = {"compiled": CompiledBackend, "interp": InterpBackend}
+
+
+class LaneError(IndexError, ValueError):
+    """A lane outside ``0 <= lane < lanes``: an index past the lane axis
+    of a batched simulator, an invalid argument (any nonzero lane) to a
+    single-lane one, so it is both an IndexError and a ValueError."""
 
 
 class SimStats:
@@ -55,13 +80,23 @@ class SimStats:
 
 
 class Simulator:
-    """Cycle-accurate simulator over a netlist or module."""
+    """Cycle-accurate simulator of ``lanes`` lockstep copies of a design."""
 
     def __init__(self, design: Union[Module, Netlist], backend: str = "compiled",
                  lanes: int = 1, fault_targets=None, fault_plan=None,
                  tag_tracking: bool = False, lattice=None,
                  tag_precise: bool = True, tag_check_downgrades: bool = True,
                  tag_audit: str = "full"):
+        if backend == "batched":
+            # Imported lazily: the batched backend needs numpy, which is a
+            # test extra, not a runtime dependency of the package.
+            from .batched import BatchedBackend as backend_cls
+        elif backend in _SCALAR_BACKENDS:
+            backend_cls = _SCALAR_BACKENDS[backend]
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        if lanes < 1:
+            raise ValueError(f"lanes must be >= 1, got {lanes}")
         if isinstance(design, Module):
             self.netlist = elaborate(design)
         else:
@@ -104,45 +139,18 @@ class Simulator:
             self.netlist, self.fault_controls = instrument(
                 self.netlist, fault_targets)
         self._input_set = frozenset(self.netlist.inputs)
+        # path -> signal, first match winning as in Netlist.signal_by_path
+        self._by_path = {}
+        for s in self.netlist.signals:
+            self._by_path.setdefault(s.path, s)
 
-        if lanes != 1 and backend != "batched":
-            raise ValueError(
-                f"lanes={lanes} requires backend='batched' (got {backend!r})"
-            )
-        if backend == "batched":
-            # Imported lazily: the batched backend needs numpy, which is a
-            # test extra, not a runtime dependency of the package.
-            from .batched import BatchSimulator
-
-            self.lanes_sim = BatchSimulator(self.netlist, lanes=lanes)
-            self.lanes_sim.fault_controls = self.fault_controls
-        elif backend == "compiled":
-            self._be = CompiledBackend(self.netlist)
-            self._state: List[int] = self._be.new_state()
-            self._mems: List[List[int]] = self._be.new_mems()
-            self._env: List[int] = self._be.new_env()
-        elif backend == "interp":
-            self._ibe = InterpBackend(self.netlist)
-            self._istate: Dict[Signal, int] = {}
-            for sig in self.netlist.inputs:
-                self._istate[sig] = 0
-            for reg in self.netlist.regs:
-                self._istate[reg] = reg.init
-            self._imems: Dict[Mem, List[int]] = {
-                m: list(m.init) for m in self.netlist.mems
-            }
-            self._ienv: Optional[Dict[Signal, int]] = None
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        self._be = backend_cls(self.netlist)
+        self._args = self._be.new_state(lanes)
         self._dirty = True
         if self.tag_plan is not None:
             from ...ifc.synth import TagView
 
-            # on the batched backend the view wraps the BatchSimulator so
-            # per-lane labels/violations are addressable; the engine-level
-            # API stays lane-0 either way
-            target = self.lanes_sim if backend == "batched" else self
-            self.tags = TagView(target, self.tag_plan)
+            self.tags = TagView(self, self.tag_plan)
         if fault_plan is not None:
             self.load_fault_plan(fault_plan)
 
@@ -150,12 +158,28 @@ class Simulator:
     def _resolve(self, sig: SignalLike) -> Signal:
         if isinstance(sig, Signal):
             return sig
-        return self.netlist.signal_by_path(sig)
+        found = self._by_path.get(sig)
+        if found is None:
+            raise UnknownSignalError(
+                sig, f"netlist of module {self.netlist.root.path!r}")
+        return found
 
     def _resolve_mem(self, mem: Union[Mem, str]) -> Mem:
         if isinstance(mem, Mem):
             return mem
         return self.netlist.mem_by_path(mem)
+
+    def _check_lane(self, lane: int) -> None:
+        if not 0 <= lane < self.lanes:
+            raise LaneError(f"lane {lane} out of range (lanes={self.lanes})")
+
+    def _mem_word(self, mem: Union[Mem, str], addr: int) -> Mem:
+        mem = self._resolve_mem(mem)
+        if not 0 <= addr < mem.depth:
+            raise IndexError(
+                f"address {addr} out of range for memory {mem.path} "
+                f"(depth {mem.depth})")
+        return mem
 
     # -- fault injection ----------------------------------------------------------
     def load_fault_plan(self, plan) -> None:
@@ -167,30 +191,23 @@ class Simulator:
         the plan is applied at the top of every :meth:`step` iteration,
         so a faulted register latches its upset value at the commit of
         the scheduled cycle — exactly between evaluation and commit.
+        Lane-targeted faults hit only their lane.
         """
-        if self.backend_name == "batched":
-            self.lanes_sim.load_fault_plan(plan)
-            return
         from ...faults.plan import FaultApplier
 
         self._fault_applier = FaultApplier(
-            plan, self.fault_controls, self.netlist, lanes=1)
+            plan, self.fault_controls, self.netlist, lanes=self.lanes)
 
     def clear_fault_plan(self) -> None:
         """Disarm any loaded plan and zero every fault-control input."""
-        if self.backend_name == "batched":
-            self.lanes_sim.clear_fault_plan()
-            return
         self._fault_applier = None
         for ctrl in self.fault_controls.values():
             for sig in (ctrl.flip, ctrl.stuck1, ctrl.stuck0):
-                self.poke(sig, 0)
+                self._poke(sig, 0, None)
 
     @property
     def fault_events(self) -> int:
         """(fault, cycle) applications performed so far."""
-        if self.backend_name == "batched":
-            return self.lanes_sim.fault_events
         ap = self._fault_applier
         return ap.events if ap is not None else 0
 
@@ -199,14 +216,15 @@ class Simulator:
 
         updates, mem_ops = ap.at(self.cycle)
         for sig, value in updates.items():
-            self.poke(sig, value)
-        for mem, addr, kind, mask, _lane in mem_ops:
-            cur = self.peek_mem(mem, addr)
-            self.poke_mem(mem, addr, faulted_value(cur, kind, mask, mem.width))
+            self.poke_all(sig, value)
+        for mem, addr, kind, mask, lane in mem_ops:
+            for ln in range(self.lanes) if lane is None else (lane,):
+                cur = self.peek_mem(mem, addr, ln)
+                self.poke_mem(mem, addr,
+                              faulted_value(cur, kind, mask, mem.width), ln)
 
     # -- testbench API ------------------------------------------------------------
-    def poke(self, sig: SignalLike, value: int) -> None:
-        """Drive a free (input) signal."""
+    def _poke(self, sig: SignalLike, value: int, lane: Optional[int]) -> None:
         sig = self._resolve(sig)
         if not 0 <= value <= mask_for(sig.width):
             raise ValueError(
@@ -214,62 +232,69 @@ class Simulator:
             )
         if sig not in self._input_set:
             raise HdlError(f"{sig.path} is not a free input of this netlist")
-        if self.backend_name == "compiled":
-            self._state[self._be.state_index[sig]] = value
-        elif self.backend_name == "batched":
-            self.lanes_sim.poke_all(sig, value)
-        else:
-            self._istate[sig] = value
+        if lane is not None:
+            self._check_lane(lane)
+        self._be.write(self._args, sig, value, lane)
         self._dirty = True
 
-    def peek(self, sig: SignalLike) -> int:
+    def poke(self, sig: SignalLike, value: int,
+             lane: Optional[int] = None) -> None:
+        """Drive a free (input) signal on one lane, or on every lane."""
+        self._poke(sig, value, lane)
+
+    def poke_all(self, sig: SignalLike, value) -> None:
+        """Drive a free input on every lane: ``value`` is one int for all
+        lanes or a sequence of one int per lane."""
+        if isinstance(value, int):
+            self._poke(sig, value, None)
+            return
+        values = list(value)
+        if len(values) != self.lanes:
+            raise ValueError(
+                f"expected {self.lanes} per-lane values, got {len(values)}"
+            )
+        sig = self._resolve(sig)
+        for lane, v in enumerate(values):
+            self._poke(sig, v, lane)
+
+    def peek(self, sig: SignalLike, lane: int = 0) -> int:
         """Read any signal's current (combinationally settled) value."""
         sig = self._resolve(sig)
-        if self.backend_name == "batched":
-            return self.lanes_sim.peek(sig, 0)
+        if lane:
+            self._check_lane(lane)
         self._settle()
-        if self.backend_name == "compiled":
-            if sig in self._be.state_index:
-                return self._state[self._be.state_index[sig]]
-            return self._env[self._be.comb_index[sig]]
-        env = self._ienv
-        assert env is not None
-        return env[sig]
+        return self._be.read(self._args, sig, lane)
 
-    def peek_mem(self, mem: Union[Mem, str], addr: int) -> int:
-        mem = self._resolve_mem(mem)
-        if self.backend_name == "compiled":
-            return self._mems[self._be.mem_index[mem]][addr]
-        if self.backend_name == "batched":
-            return self.lanes_sim.peek_mem(mem, addr, 0)
-        return self._imems[mem][addr]
+    def peek_all(self, sig: SignalLike) -> List[int]:
+        """Read a signal on every lane; returns one int per lane."""
+        sig = self._resolve(sig)
+        self._settle()
+        return self._be.read(self._args, sig, None)
 
-    def poke_mem(self, mem: Union[Mem, str], addr: int, value: int) -> None:
-        """Testbench backdoor write into a memory."""
-        mem = self._resolve_mem(mem)
+    def peek_mem(self, mem: Union[Mem, str], addr: int, lane: int = 0) -> int:
+        mem = self._mem_word(mem, addr)
+        self._check_lane(lane)
+        return self._be.read_mem(self._args, mem, addr, lane)
+
+    def poke_mem(self, mem: Union[Mem, str], addr: int, value: int,
+                 lane: Optional[int] = None) -> None:
+        """Testbench backdoor write into a memory (every lane unless
+        ``lane`` is given)."""
+        mem = self._mem_word(mem, addr)
         if not 0 <= value <= mask_for(mem.width):
             raise ValueError(f"value {value} does not fit memory {mem.path}")
-        if self.backend_name == "compiled":
-            self._mems[self._be.mem_index[mem]][addr] = value
-        elif self.backend_name == "batched":
-            self.lanes_sim.poke_mem(mem, addr, value)
-        else:
-            self._imems[mem][addr] = value
+        if lane is not None:
+            self._check_lane(lane)
+        self._be.write_mem(self._args, mem, addr, value, lane)
         self._dirty = True
 
     def _settle(self) -> None:
-        if not self._dirty:
-            return
-        if self.backend_name == "compiled":
-            self._be.eval_comb(self._state, self._mems, self._env)
-        elif self.backend_name == "batched":
-            pass  # BatchSimulator settles lazily on its own peeks
-        else:
-            self._ienv = self._ibe.eval_comb(self._istate, self._imems)
-        self._dirty = False
+        if self._dirty:
+            self._be.eval_comb(*self._args)
+            self._dirty = False
 
     def step(self, n: int = 1) -> None:
-        """Advance ``n`` clock cycles."""
+        """Advance ``n`` clock cycles (every lane)."""
         # telemetry: one global read per call; None (the default) makes
         # the whole accounting path two cheap branches
         obs = _telemetry()
@@ -281,12 +306,7 @@ class Simulator:
                 self._settle()
                 for w in self._watchers:
                     w(self)
-            if self.backend_name == "compiled":
-                self._be.step(self._state, self._mems, self._env)
-            elif self.backend_name == "batched":
-                self.lanes_sim.step(1)
-            else:
-                self._ibe.step(self._istate, self._imems)
+            self._be.step(*self._args)
             self.cycle += 1
             self._dirty = True
         if obs is not None:
@@ -297,17 +317,7 @@ class Simulator:
 
     def reset(self) -> None:
         """Reset registers to init values and memories to initial contents."""
-        if self.backend_name == "compiled":
-            self._state = self._be.new_state()
-            self._mems = self._be.new_mems()
-        elif self.backend_name == "batched":
-            self.lanes_sim.reset()
-        else:
-            for sig in self.netlist.inputs:
-                self._istate[sig] = 0
-            for reg in self.netlist.regs:
-                self._istate[reg] = reg.init
-            self._imems = {m: list(m.init) for m in self.netlist.mems}
+        self._args = self._be.new_state(self.lanes)
         self.cycle = 0
         self._dirty = True
         if self.tags is not None:
@@ -328,28 +338,34 @@ class Simulator:
                 + list(self.netlist.comb))
 
     def values(self, lane: int = 0) -> List[int]:
-        """Settled values of :meth:`value_signals`, as one flat list.
-
-        This is the profiler's sampling primitive: one call per sampled
-        cycle instead of one ``peek`` per signal, using each backend's
-        native storage (state/env lists for compiled, the value map for
-        interp, the selected lane of the limb arrays for batched).
-        """
-        if self.backend_name == "batched":
-            return self.lanes_sim.values(lane)
-        if lane != 0:
-            raise ValueError(
-                f"backend {self.backend_name!r} is single-lane; "
-                f"lane {lane} requested")
+        """Settled values of :meth:`value_signals` on one lane, as one
+        flat list: the profiler's sampling primitive, one call per
+        sampled cycle instead of one ``peek`` per signal."""
+        self._check_lane(lane)
         self._settle()
-        if self.backend_name == "compiled":
-            return list(self._state) + list(self._env)
-        env = self._ienv
-        assert env is not None
-        return [env[sig] for sig in self.value_signals()]
+        return self._be.values(self._args, lane)
+
+    def mem_rows(self, mem: Union[Mem, str]):
+        """A copy of one memory in the backend's layout: a word list on
+        the single-lane backends, one ``(depth, lanes)`` uint64 array per
+        64-bit limb on the batched backend."""
+        return self._be.mem_rows(self._args, self._resolve_mem(mem))
+
+    def snapshot_rows(self):
+        """Batched backend only: every settled input, register and
+        combinational limb as one ``(rows, lanes)`` uint64 copy, laid out
+        as :meth:`row_span` says."""
+        self._settle()
+        return self._be.rows(self._args)
+
+    def row_span(self, sig: SignalLike):
+        """Batched backend only: ``(first row, limb count)`` of a signal
+        in :meth:`snapshot_rows`."""
+        return self._be.row_span(self._resolve(sig))
 
     def add_watcher(self, fn) -> None:
-        """Register a callable invoked (with the simulator) before each step."""
+        """Register a callable invoked (with the simulator, every lane
+        settled) before each step."""
         self._watchers.append(fn)
 
     def remove_watcher(self, fn) -> None:
@@ -358,7 +374,7 @@ class Simulator:
             self._watchers.remove(fn)
 
     def run_until(self, sig: SignalLike, value: int = 1, max_cycles: int = 10000) -> int:
-        """Step until ``sig == value``; returns cycles waited.
+        """Step until ``sig == value`` on lane 0; returns cycles waited.
 
         Raises ``TimeoutError`` after ``max_cycles``.
         """

@@ -46,8 +46,7 @@ class Trace:
     Parameters
     ----------
     sim:
-        A :class:`~repro.hdl.sim.engine.Simulator` or a standalone
-        :class:`~repro.hdl.sim.batched.BatchSimulator`.
+        A :class:`~repro.hdl.sim.engine.Simulator` (any backend).
     signals:
         The signals (or dotted paths) to record.
     tracker:
@@ -76,9 +75,8 @@ class Trace:
         self.cycles: List[int] = []
         #: per-cycle labels (same shape as rows) when a tracker is attached
         self.label_rows: List[List[Optional[object]]] = []
-        # per-lane capture rides the bulk values() snapshot: one call per
-        # cycle instead of one peek per signal, and the only way to read
-        # a specific lane of a batched simulator uniformly
+        # capture rides the bulk values() snapshot: one call per cycle
+        # instead of one peek per signal
         order = sim.value_signals()
         pos = {s: i for i, s in enumerate(order)}
         vidx = [pos.get(s) for s in self.signals]
@@ -93,10 +91,7 @@ class Trace:
         self._cycle_index[sim.cycle] = len(self.cycles)
         self.cycles.append(sim.cycle)
         if self._vidx is not None:
-            try:
-                vals = sim.values(self.lane)
-            except TypeError:  # single-lane values() without a lane arg
-                vals = sim.values()
+            vals = sim.values(self.lane)
             self.rows.append([vals[i] for i in self._vidx])
         else:
             self.rows.append([sim.peek(s) for s in self.signals])

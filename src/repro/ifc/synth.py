@@ -772,46 +772,20 @@ class SynthViolation:
 class TagView:
     """Read/drive the synthesized shadow state of one simulator.
 
-    Wraps either a single-lane :class:`~repro.hdl.sim.engine.Simulator`
-    or a :class:`~repro.hdl.sim.batched.BatchSimulator` (pass ``lane=``
-    to address one lane of the latter).  Mirrors the tracker's query API:
-    ``label_of`` / ``mem_label_of`` / ``set_source_label`` /
-    ``violations`` / ``ok``.
+    Wraps a :class:`~repro.hdl.sim.engine.Simulator` on any backend
+    (pass ``lane=`` to address one lane of a batched one).  Mirrors the
+    tracker's query API: ``label_of`` / ``mem_label_of`` /
+    ``set_source_label`` / ``violations`` / ``ok``.
     """
 
     def __init__(self, sim, plan: TagPlan):
         self.sim = sim
         self.plan = plan
         self.lattice = plan.lattice
-        self._batched = hasattr(sim, "peek_all")
         #: testbench-set labels, reapplied after reset (static labels only;
         #: per-cycle callables belong to the interpreted tracker)
         self.source_labels: Dict[Signal, Label] = {}
         self.reseed()
-
-    # -- lane-aware peek/poke ------------------------------------------------------
-    def _peek(self, sig: Signal, lane: int) -> int:
-        if self._batched:
-            return self.sim.peek(sig, lane)
-        if lane != 0:
-            raise ValueError("single-lane simulator; lane must be 0")
-        return self.sim.peek(sig)
-
-    def _peek_mem(self, mem: Mem, addr: int, lane: int) -> int:
-        if self._batched:
-            return self.sim.peek_mem(mem, addr, lane)
-        if lane != 0:
-            raise ValueError("single-lane simulator; lane must be 0")
-        return self.sim.peek_mem(mem, addr)
-
-    def _poke(self, sig: Signal, value: int, lane: Optional[int]) -> None:
-        if self._batched:
-            if lane is None:
-                self.sim.poke_all(sig, value)
-            else:
-                self.sim.poke(sig, lane, value)
-        else:
-            self.sim.poke(sig, value)
 
     # -- seeding -----------------------------------------------------------------
     def reseed(self) -> None:
@@ -826,8 +800,8 @@ class TagView:
             if label is None:
                 continue
             c, d = encode_tag(self.lattice, label)
-            self._poke(conf, c, None)
-            self._poke(integ, d, None)
+            self.sim._poke(conf, c, None)
+            self.sim._poke(integ, d, None)
 
     def set_source_label(self, sig, label: Label,
                          lane: Optional[int] = None) -> None:
@@ -844,8 +818,8 @@ class TagView:
                 f"{sig.path} has no free tag inputs (not an input, or its "
                 f"declared label is dependent and therefore hardware-derived)")
         c, d = encode_tag(self.lattice, label)
-        self._poke(pair[0], c, lane)
-        self._poke(pair[1], d, lane)
+        self.sim._poke(pair[0], c, lane)
+        self.sim._poke(pair[1], d, lane)
         if lane is None:
             self.source_labels[sig] = label
 
@@ -857,8 +831,8 @@ class TagView:
         if conf is None:
             raise KeyError(f"no shadow tag nets for {sig.path}")
         return decode_tag(self.lattice,
-                          self._peek(conf, lane),
-                          self._peek(self.plan.integ[sig], lane))
+                          self.sim.peek(conf, lane),
+                          self.sim.peek(self.plan.integ[sig], lane))
 
     def mem_label_of(self, mem, addr: int, lane: int = 0) -> Label:
         mem = self.sim._resolve_mem(mem)
@@ -866,13 +840,14 @@ class TagView:
         if mc is None:
             raise KeyError(f"no shadow tag memories for {mem.path}")
         return decode_tag(self.lattice,
-                          self._peek_mem(mc, addr, lane),
-                          self._peek_mem(self.plan.mem_integ[mem], addr, lane))
+                          self.sim.peek_mem(mc, addr, lane),
+                          self.sim.peek_mem(self.plan.mem_integ[mem], addr,
+                                            lane))
 
     def any_violation(self, lane: int = 0) -> bool:
         if self.plan.alarm is None:
             return False
-        return bool(self._peek(self.plan.alarm, lane))
+        return bool(self.sim.peek(self.plan.alarm, lane))
 
     def violations(self, lane: int = 0,
                    emit: bool = False) -> List[SynthViolation]:
@@ -880,13 +855,13 @@ class TagView:
         to the ``repro.obs`` security stream (``source="synth"``)."""
         out: List[SynthViolation] = []
         for site in self.plan.sites:
-            if not self._peek(site.sticky, lane):
+            if not self.sim.peek(site.sticky, lane):
                 continue
             out.append(SynthViolation(
                 site,
-                self._peek(site.first_cycle, lane)
+                self.sim.peek(site.first_cycle, lane)
                 if site.first_cycle is not None else None,
-                self._peek(site.count, lane)
+                self.sim.peek(site.count, lane)
                 if site.count is not None else None,
                 lane))
         if emit and out:

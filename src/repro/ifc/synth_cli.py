@@ -71,14 +71,11 @@ def _mini_frames(cycles: int) -> List[Dict[str, int]]:
     return frames
 
 
-def _drive(sim, frames, batched: bool) -> float:
+def _drive(sim, frames) -> float:
     t0 = time.perf_counter()
     for frame in frames:
         for path, value in frame.items():
-            if batched:
-                sim.poke_all(path, value)
-            else:
-                sim.poke(path, value)
+            sim.poke(path, value)
         sim.step(1)
     return time.perf_counter() - t0
 
@@ -88,22 +85,17 @@ def _overhead(backend: str, frames) -> Dict[str, float]:
     from ..accel.common import LATTICE
     from ..accel.mini import MiniTaggedPipeline
 
+    from ..hdl.sim import Simulator
+
+    lanes = BATCH_LANES if backend == "batched" else 1
+
     def build(tagged: bool):
         kwargs = dict(tag_tracking=True, lattice=LATTICE) if tagged else {}
-        if backend == "batched":
-            from ..hdl.sim.batched import BatchSimulator
-
-            return BatchSimulator(MiniTaggedPipeline(3, guarded=True),
-                                  lanes=BATCH_LANES, **kwargs)
-        from ..hdl.sim import Simulator
-
         return Simulator(MiniTaggedPipeline(3, guarded=True),
-                         backend=backend, **kwargs)
+                         backend=backend, lanes=lanes, **kwargs)
 
-    batched = backend == "batched"
-    lanes = BATCH_LANES if batched else 1
-    plain = _drive(build(False), frames, batched)
-    tagged = _drive(build(True), frames, batched)
+    plain = _drive(build(False), frames)
+    tagged = _drive(build(True), frames)
     n = len(frames)
     return {
         "backend": backend,

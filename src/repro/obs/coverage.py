@@ -279,10 +279,9 @@ class CoverageCollector:
         self.sim = sim
         self.signals = list(sim.value_signals())
         self._paths = [s.path for s in self.signals]
-        self.lanes = getattr(sim, "lanes", 1) or 1
+        self.lanes = sim.lanes
         self.map = CoverageMap()
-        be_name = getattr(sim, "backend_name", "")
-        self.map.backends.append(be_name)
+        self.map.backends.append(sim.backend_name)
         for s in self.signals:
             self.map.signals[s.path] = {"width": s.width, "rise": 0,
                                         "fall": 0, "ever": 0}
@@ -303,7 +302,7 @@ class CoverageCollector:
         self._sig_index = {p: i for i, p in enumerate(self._paths)}
         self._prev = None
         self._prev_mems = None
-        self._use_np = (_np is not None and be_name == "batched")
+        self._use_np = (_np is not None and sim.backend_name == "batched")
         if self._use_np:
             self._init_np_rows()
         self._attached = True
@@ -334,23 +333,14 @@ class CoverageCollector:
 
     # -- batched fast path: limb rows <-> signal metadata ------------------------
     def _init_np_rows(self) -> None:
-        be = self.sim.lanes_sim._be
-        n_rows = be.n_state_rows + be.n_env_rows
         # (signal index, base row, limb count) per signal, plus three
         # uint64 accumulators per row — folded back per-signal at finish
-        self._row_of: List[Tuple[int, int, int]] = []
-        for i, sig in enumerate(self.signals):
-            slot = be.state_slot.get(sig)
-            base = 0
-            if slot is None:
-                slot = be.comb_slot[sig]
-                base = be.n_state_rows
-            row0, nlimbs = slot
-            self._row_of.append((i, base + row0, nlimbs))
+        self._row_of: List[Tuple[int, int, int]] = [
+            (i, *self.sim.row_span(sig)) for i, sig in enumerate(self.signals)]
+        n_rows = sum(nlimbs for _i, _row0, nlimbs in self._row_of)
         self._rise_rows = _np.zeros(n_rows, dtype=_np.uint64)
         self._fall_rows = _np.zeros(n_rows, dtype=_np.uint64)
         self._ever_rows = _np.zeros(n_rows, dtype=_np.uint64)
-        self._mem_slot = be.mem_slot
 
     def _fold_np_rows(self) -> None:
         for i, row0, nlimbs in self._row_of:
@@ -395,15 +385,8 @@ class CoverageCollector:
         self._prev = snap
         self._observe_mems_py(snap)
 
-    def _mem_snapshot_py(self) -> List[List[int]]:
-        sim = self.sim
-        if sim.backend_name == "compiled":
-            idx = sim._be.mem_index
-            return [list(sim._mems[idx[m]]) for m in self._wmems]
-        return [list(sim._imems[m]) for m in self._wmems]
-
     def _observe_mems_py(self, snap) -> None:
-        cur = self._mem_snapshot_py()
+        cur = [self.sim.mem_rows(m) for m in self._wmems]
         prev = self._prev_mems
         if prev is not None:
             for k, mem in enumerate(self._wmems):
@@ -425,9 +408,7 @@ class CoverageCollector:
                 self.map.mems[mem.path]["read"] |= 1 << addr
 
     def _observe_np(self) -> None:
-        ls = self.sim.lanes_sim
-        ls._settle()
-        snap = _np.concatenate([ls._state, ls._env], axis=0).copy()
+        snap = self.sim.snapshot_rows()
         prev = self._prev
         if prev is not None:
             d = prev ^ snap
@@ -437,13 +418,10 @@ class CoverageCollector:
             self._fall_rows |= _np.bitwise_or.reduce(d & prev, axis=1)
         self._ever_rows |= _np.bitwise_or.reduce(snap, axis=1)
         self._prev = snap
-        self._observe_mems_np(snap, ls)
+        self._observe_mems_np(snap)
 
-    def _observe_mems_np(self, snap, ls) -> None:
-        cur = []
-        for mem in self._wmems:
-            row0, nlimbs = self._mem_slot[mem]
-            cur.append([ls._mems[row0 + j].copy() for j in range(nlimbs)])
+    def _observe_mems_np(self, snap) -> None:
+        cur = [self.sim.mem_rows(m) for m in self._wmems]
         prev = self._prev_mems
         if prev is not None:
             for k, mem in enumerate(self._wmems):

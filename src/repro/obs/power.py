@@ -140,14 +140,13 @@ class PowerCollector:
         # drive fan-out; floor every weight at 1 so the weighted series
         # never silently ignores a toggling signal
         self.weights = [max(1, int(costs.get(s, 0))) for s in self.signals]
-        self.lanes = getattr(sim, "lanes", 1) or 1
+        self.lanes = sim.lanes
         self.traces_hd: List[List[List[int]]] = []
         self.traces_weighted: List[List[List[int]]] = []
         self.group_hd: Dict[str, int] = {g: 0 for g in self.group_names}
         self.cycles_observed = 0
         self._prev = None
-        self._use_np = (_np is not None
-                        and getattr(sim, "backend_name", "") == "batched"
+        self._use_np = (_np is not None and sim.backend_name == "batched"
                         and hasattr(_np, "bitwise_count"))
         if self._use_np:
             self._init_np_rows()
@@ -168,19 +167,12 @@ class PowerCollector:
 
     # -- batched fast path: limb-array rows -> signal metadata ------------------
     def _init_np_rows(self) -> None:
-        be = self.sim.lanes_sim._be
-        n_rows = be.n_state_rows + be.n_env_rows
-        weights = _np.zeros(n_rows, dtype=_np.int64)
+        spans = [self.sim.row_span(sig) for sig in self.signals]
+        weights = _np.zeros(sum(n for _row0, n in spans), dtype=_np.int64)
         group_rows: Dict[str, List[int]] = {g: [] for g in self.group_names}
-        for i, sig in enumerate(self.signals):
-            slot = be.state_slot.get(sig)
-            base = 0
-            if slot is None:
-                slot = be.comb_slot[sig]
-                base = be.n_state_rows
-            row0, nlimbs = slot
+        for i, (row0, nlimbs) in enumerate(spans):
             for j in range(nlimbs):
-                row = base + row0 + j
+                row = row0 + j
                 weights[row] = self.weights[i]
                 group_rows[self.groups[i]].append(row)
         self._row_weights = weights
@@ -198,9 +190,7 @@ class PowerCollector:
         if not self.traces_hd:
             return  # idle until the first start_trace()
         if self._use_np:
-            ls = self.sim.lanes_sim
-            ls._settle()
-            snap = _np.concatenate([ls._state, ls._env], axis=0).copy()
+            snap = self.sim.snapshot_rows()
             if self._prev is not None:
                 self._accumulate_np(self._prev, snap)
         else:
@@ -472,13 +462,6 @@ def _campaign_key(seed: int) -> int:
     return random.Random(seed * 2654435761 + 7).getrandbits(128)
 
 
-def _poke_lane(sim, sig: str, lane: int, value: int) -> None:
-    if getattr(sim, "backend_name", "") == "batched":
-        sim.lanes_sim.poke(sig, lane, value)
-    else:
-        sim.poke(sig, value)
-
-
 def _build_round_sim(masked: bool, backend: str, lanes: int):
     from ..accel.masked import RoundPowerUnit
     from ..hdl.sim.engine import Simulator
@@ -505,17 +488,12 @@ def _drive_traces(sim, collector: PowerCollector, plaintexts: Sequence[int],
                 m_in = rng.randrange(256)
                 m_out = rng.randrange(256)
                 table = masked_sbox_table(m_in, m_out)
-                if lanes > 1:
-                    for addr, v in enumerate(table):
-                        sim.lanes_sim.poke_mem(f"{top}.msbox", addr, v, lane)
-                else:
-                    for addr, v in enumerate(table):
-                        sim.poke_mem(f"{top}.msbox", addr, v)
-                _poke_lane(sim, f"{top}.in_state", lane,
-                           plain ^ mask128(m_in))
-                _poke_lane(sim, f"{top}.in_mask_out", lane, m_out)
+                for addr, v in enumerate(table):
+                    sim.poke_mem(f"{top}.msbox", addr, v, lane=lane)
+                sim.poke(f"{top}.in_state", plain ^ mask128(m_in), lane=lane)
+                sim.poke(f"{top}.in_mask_out", m_out, lane=lane)
             else:
-                _poke_lane(sim, f"{top}.in_state", lane, plain)
+                sim.poke(f"{top}.in_state", plain, lane=lane)
         sim.poke(f"{top}.in_key", key)
         sim.poke(f"{top}.in_valid", 1)
         collector.start_trace()

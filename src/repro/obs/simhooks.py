@@ -60,13 +60,12 @@ def clear_compile_caches() -> None:
 
 def sim_stats(sim) -> Dict[str, object]:
     """Flat stats dict for one simulator (any backend)."""
-    stats = getattr(sim, "stats", None)
-    wall = getattr(stats, "wall_seconds", 0.0)
-    timed = getattr(stats, "timed_cycles", 0)
-    lanes = getattr(sim, "lanes", 1)
+    wall = sim.stats.wall_seconds
+    timed = sim.stats.timed_cycles
+    lanes = sim.lanes
     cps = (timed / wall) if wall > 0 else 0.0
     return {
-        "backend": getattr(sim, "backend_name", "unknown"),
+        "backend": sim.backend_name,
         "lanes": lanes,
         "cycles": sim.cycle,
         "timed_cycles": timed,
@@ -80,15 +79,10 @@ def lane_utilization(sim, active_signal) -> Optional[float]:
     """Fraction of batched lanes with ``active_signal`` nonzero.
 
     Returns None for non-batched simulators (there is no lane axis).
-    ``sim`` may be a :class:`~repro.hdl.sim.Simulator` with
-    ``backend="batched"`` or a raw ``BatchSimulator``.
     """
-    bs = getattr(sim, "lanes_sim", None)
-    if bs is None and hasattr(sim, "peek_all"):
-        bs = sim
-    if bs is None:
+    if sim.backend_name != "batched":
         return None
-    values = bs.peek_all(active_signal)
+    values = sim.peek_all(active_signal)
     if not values:
         return 0.0
     return sum(1 for v in values if v) / len(values)

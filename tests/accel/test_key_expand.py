@@ -81,7 +81,7 @@ class TestFunctional:
         # (simulate via the register directly)
         reg = sim.netlist.signal_by_path("keyexp.slot_tag_1")
         idx = sim._be.state_index[reg]
-        sim._state[idx] = sim_state_tag
+        sim._args[0][idx] = sim_state_tag
         sim._dirty = True
         before = [sim.peek_mem("keyexp.rk_mem_1", i) for i in range(11)]
         sim.step(12)

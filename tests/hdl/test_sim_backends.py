@@ -157,6 +157,17 @@ class TestSimulatorApi:
         with pytest.raises(HdlError):
             sim.poke("mu.dout", 1)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mem_backdoor_rejects_out_of_range_address(self, backend):
+        # a negative address used to alias the top entry (list indexing)
+        sim = _make_sim(MemUnit(), backend)
+        for addr in (-1, 12):
+            with pytest.raises(IndexError):
+                sim.poke_mem("mu.m", addr, 1)
+            with pytest.raises(IndexError):
+                sim.peek_mem("mu.m", addr)
+        assert sim.peek_mem("mu.m", 11) == 0
+
     def test_lanes_require_batched_backend(self):
         with pytest.raises(ValueError):
             Simulator(MemUnit(), backend="compiled", lanes=4)

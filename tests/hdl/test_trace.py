@@ -151,7 +151,7 @@ def test_trace_on_batched_backend_matches_compiled():
 
     # per-lane capture: lanes run in lockstep here, so lane 2 matches too
     sim2 = Simulator(Counter(), backend="batched", lanes=3)
-    tr2 = Trace(sim2.lanes_sim, ["c.count"], lane=2)
+    tr2 = Trace(sim2, ["c.count"], lane=2)
     sim2.poke("c.en", 1)
     sim2.step(7)
     assert tr2.column("c.count") == ref.column("c.count")
@@ -212,8 +212,8 @@ def test_batched_per_lane_trace_diverges_with_faults():
     plan = FaultPlan([Fault("c.count", "transient", 1, cycle=3, lane=1)])
     sim = Simulator(Counter(), backend="batched", lanes=2,
                     fault_targets=["c.count"], fault_plan=plan)
-    t0 = Trace(sim.lanes_sim, ["c.count"], lane=0)
-    t1 = Trace(sim.lanes_sim, ["c.count"], lane=1)
+    t0 = Trace(sim, ["c.count"], lane=0)
+    t1 = Trace(sim, ["c.count"], lane=1)
     sim.poke("c.en", 1)
     sim.step(6)
     col0, col1 = t0.column("c.count"), t1.column("c.count")

@@ -45,7 +45,7 @@ class TestKeyExpandDynamics:
         sim.step(2)
         # supervisor-level backdoor: retag slot 1 to Eve mid-flight
         reg = sim.netlist.signal_by_path("keyexp.slot_tag_1")
-        sim._state[sim._be.state_index[reg]] = EVE.encode()
+        sim._args[0][sim._be.state_index[reg]] = EVE.encode()
         sim._dirty = True
         before = [sim.peek_mem("keyexp.rk_mem_1", i) for i in range(11)]
         sim.step(12)

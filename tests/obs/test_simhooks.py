@@ -4,7 +4,7 @@ import pytest
 
 import repro.obs as obs
 from repro.accel.mini import MiniTaggedPipeline
-from repro.hdl import Simulator, elaborate
+from repro.hdl import BatchSimulator, Simulator, elaborate
 from repro.obs import MetricsRegistry
 from repro.obs.simhooks import (
     clear_compile_caches,
@@ -78,7 +78,7 @@ class TestLaneUtilization:
         sim = Simulator(MiniTaggedPipeline(), backend="batched", lanes=4)
         sig = next(iter(sim.netlist.inputs))
         for lane in range(4):
-            sim.lanes_sim.poke(sig, lane, 1 if lane < 3 else 0)
+            sim.poke(sig, 1 if lane < 3 else 0, lane=lane)
         assert lane_utilization(sim, sig) == 0.75
 
     def test_scalar_backend_has_no_lane_axis(self):
@@ -88,10 +88,16 @@ class TestLaneUtilization:
 
 
 class TestPublishSimMetrics:
-    @pytest.mark.parametrize("backend,lanes",
-                             [("interp", 1), ("compiled", 1), ("batched", 4)])
-    def test_identical_metric_surface_across_backends(self, backend, lanes):
-        sim = Simulator(MiniTaggedPipeline(), backend=backend, lanes=lanes)
+    @pytest.mark.parametrize("backend,lanes,standalone",
+                             [("interp", 1, False), ("compiled", 1, False),
+                              ("batched", 4, False), ("batched", 4, True)])
+    def test_identical_metric_surface_across_backends(self, backend, lanes,
+                                                      standalone):
+        if standalone:
+            sim = BatchSimulator(MiniTaggedPipeline(), lanes=lanes)
+        else:
+            sim = Simulator(MiniTaggedPipeline(), backend=backend,
+                            lanes=lanes)
         with obs.capture():
             sim.step(3)
         reg = MetricsRegistry()
@@ -117,7 +123,7 @@ class TestPublishSimMetrics:
     def test_lane_utilization_gauge(self):
         sim = Simulator(MiniTaggedPipeline(), backend="batched", lanes=2)
         sig = next(iter(sim.netlist.inputs))
-        sim.lanes_sim.poke(sig, 0, 1)
+        sim.poke(sig, 1, lane=0)
         reg = MetricsRegistry()
         publish_sim_metrics(sim, reg, active_signal=sig)
         g = reg.get("sim_lane_utilization")
